@@ -159,7 +159,9 @@ class FederatedCloud:
         self._org_to_director: dict[str, CloudDirector] = {}
         self._org_home: dict[str, int] = {}
         self._next_director = 0
-        self._vapp_director: dict[int, CloudDirector] = {}
+        # Deploying director per live vApp, keyed by (org name, vApp name);
+        # delete() evicts, so the map holds only vApps not yet deleted.
+        self._vapp_director: dict[tuple[str, str], CloudDirector] = {}
         self._submissions: list[tuple[str, typing.Any]] = []
         self._submit_seq = 0
 
@@ -308,7 +310,7 @@ class FederatedCloud:
                 vapp_name=vapp_name,
             )
             vapp = yield from director.deploy(request)
-            self._vapp_director[id(vapp)] = director
+            self._vapp_director[(vapp.org.name, vapp.name)] = director
             self.metrics.latency("deploy_latency").record(vapp.deploy_latency)
             return vapp
         home = self._org_home[org.name]
@@ -396,7 +398,7 @@ class FederatedCloud:
             vapp_name=submission.vapp_name,
         )
         vapp = yield from director.deploy(request)
-        self._vapp_director[id(vapp)] = director
+        self._vapp_director[(vapp.org.name, vapp.name)] = director
         if submission.home != index:
             self.shard_stats[index].remote_completions += 1
         return vapp
@@ -405,7 +407,9 @@ class FederatedCloud:
         # Deletes go straight to the director that actually deployed the
         # vApp (its VMs live on that shard's hosts); the home director is
         # only a fallback for vApps this cloud never saw deploy.
-        director = self._vapp_director.get(id(vapp)) or self.director_for(vapp.org)
+        director = self._vapp_director.pop(
+            (vapp.org.name, vapp.name), None
+        ) or self.director_for(vapp.org)
         return (yield from director.delete(vapp))
 
     # -- reporting -------------------------------------------------------------

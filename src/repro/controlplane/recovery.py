@@ -204,7 +204,7 @@ class NullJournal:
     """Journal disabled: every append is a no-op, every query is empty."""
 
     enabled: typing.ClassVar[bool] = False
-    records: list[JournalRecord] = []
+    records: tuple[JournalRecord, ...] = ()  # immutable: shared by every instance
 
     def record_admit(self, task: "Task") -> None:
         pass

@@ -222,11 +222,14 @@ class Timeout(Event):
 class Condition(Event):
     """Base for events composed of other events (:class:`AllOf`/:class:`AnyOf`).
 
-    The condition evaluates each time a constituent fires. A failing
-    constituent fails the condition immediately with the same exception.
+    The condition keeps a count of the constituent successes it still
+    needs; each firing constituent costs O(1), so a condition over ``n``
+    events does O(n) work in total instead of rescanning every constituent
+    on every firing. A failing constituent fails the condition immediately
+    with the same exception.
     """
 
-    __slots__ = ("events",)
+    __slots__ = ("events", "_pending")
 
     def __init__(self, sim: "Simulator", events: typing.Sequence[Event], name: str = "") -> None:
         super().__init__(sim, name=name)
@@ -238,10 +241,13 @@ class Condition(Event):
             # Vacuous truth: an empty AllOf succeeds, an empty AnyOf never
             # would — but treating both as immediate success is the least
             # surprising behaviour for fan-out over possibly-empty sets.
+            self._pending = 0
             self.succeed(value={})
             return
+        # A duplicated constituent registers (and so counts) once per slot.
+        self._pending = self._needed(len(self.events))
         for event in self.events:
-            if event.processed:
+            if event._state == PROCESSED:
                 # A processed event already ran (and cleared) its callback
                 # list; appending there would leave a dead reference that
                 # never fires. Fold the outcome in directly instead.
@@ -249,16 +255,20 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._check)
 
-    def _evaluate(self) -> bool:
+    def _needed(self, count: int) -> int:
+        """Constituent successes required before the condition succeeds."""
         raise NotImplementedError
 
     def _check(self, event: Event) -> None:
-        if self.triggered or self.cancelled:
+        # Only ever called for a processed constituent, so its outcome is
+        # decided and ``_exception`` alone says whether it succeeded.
+        if self._state != PENDING:
             return
-        if not event.ok:
-            self.fail(event.exception)  # type: ignore[arg-type]
+        if event._exception is not None:
+            self.fail(event._exception)
             return
-        if self._evaluate():
+        self._pending -= 1
+        if self._pending == 0:
             self.succeed(value=self._collect())
 
     def _collect(self) -> dict[Event, typing.Any]:
@@ -270,8 +280,8 @@ class AllOf(Condition):
 
     __slots__ = ()
 
-    def _evaluate(self) -> bool:
-        return all(event.processed and event.ok for event in self.events)
+    def _needed(self, count: int) -> int:
+        return count
 
 
 class AnyOf(Condition):
@@ -279,5 +289,5 @@ class AnyOf(Condition):
 
     __slots__ = ()
 
-    def _evaluate(self) -> bool:
-        return any(event.processed and event.ok for event in self.events)
+    def _needed(self, count: int) -> int:
+        return 1

@@ -19,6 +19,7 @@ pays only a no-op method call at each instrumentation point.
 from __future__ import annotations
 
 import math
+import types
 import typing
 
 from repro.sim.stats import (
@@ -223,6 +224,9 @@ class Telemetry:
         self.probes: list[Probe] = []
         self.watched: list[tuple[MetricsRegistry, LabelValues]] = []
         self.rollups: dict[str, RollupSeries] = {}
+        # series_matching() results by prefix, kept current by rollup():
+        # SLO rules ask for the same prefixes on every scrape.
+        self._prefix_index: dict[str, dict[str, RollupSeries]] = {}
         self.scraper = Scraper(self)
         self.monitor: "SloMonitor" = SloMonitor(self)
 
@@ -273,6 +277,9 @@ class Telemetry:
                 metric_id, kind=kind, retention=self.retention, base=self.histogram_base
             )
             self.rollups[metric_id] = series
+            for prefix, matching in self._prefix_index.items():
+                if metric_id.startswith(prefix):
+                    matching[metric_id] = series
         return series
 
     def series(self, name: str, **labels: str) -> RollupSeries | None:
@@ -280,11 +287,15 @@ class Telemetry:
         return self.rollups.get(format_metric_id(name, _label_key(labels)))
 
     def series_matching(self, prefix: str) -> dict[str, RollupSeries]:
-        return {
-            metric_id: series
-            for metric_id, series in self.rollups.items()
-            if metric_id.startswith(prefix)
-        }
+        """Every series whose id starts with ``prefix``, in creation order."""
+        matching = self._prefix_index.get(prefix)
+        if matching is None:
+            matching = self._prefix_index[prefix] = {
+                metric_id: series
+                for metric_id, series in self.rollups.items()
+                if metric_id.startswith(prefix)
+            }
+        return dict(matching)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -319,9 +330,10 @@ class NullTelemetry:
     """
 
     enabled: typing.ClassVar[bool] = False
-    families: dict[str, MetricFamily] = {}
-    probes: list[Probe] = []
-    rollups: dict[str, RollupSeries] = {}
+    # Immutable empties: class attributes are shared by every instance.
+    families: typing.Mapping[str, MetricFamily] = types.MappingProxyType({})
+    probes: tuple[Probe, ...] = ()
+    rollups: typing.Mapping[str, RollupSeries] = types.MappingProxyType({})
 
     def counter(self, name: str, help: str = "", **labels: str) -> NullMetric:
         return NULL_METRIC

@@ -218,24 +218,58 @@ class RollupSeries:
         window = self.latest()
         return window.last if window is not None else 0.0
 
+    def _overlapping(self, seconds: float, now: float) -> list[Window]:
+        """Level-0 windows (open one included) overlapping [now-s, now], oldest first.
+
+        Level-0 windows share one width and are kept in start order, so
+        the ones starting before ``now`` are a prefix and the ones ending
+        after the cutoff are a suffix: two short scans back from the newest
+        window find the overlap without visiting the rest.
+        """
+        cutoff = now - seconds
+        windows = self._levels[0]
+        if self._open is not None:
+            windows = windows + [self._open]
+        last = len(windows)
+        while last and windows[last - 1].start >= now:
+            last -= 1
+        first = last
+        while first and windows[first - 1].end > cutoff:
+            first -= 1
+        return windows[first:last]
+
     def trailing(self, seconds: float, now: float) -> Window:
         """Merged roll-up of all level-0 windows overlapping [now-s, now].
 
         This is the roll-up-of-roll-ups path: the result is identical (to
         within one log bucket on quantiles) to rolling up the raw samples.
+        Callers that read only ``count``/``sum`` use :meth:`trailing_count_sum`,
+        which skips the histogram merges.
         """
-        cutoff = now - seconds
-        merged = Window(cutoff, seconds, base=self.base)
-        for window in self.windows(level=0, include_open=True):
-            if window.end > cutoff and window.start < now:
-                if window.count:
-                    merged.count += window.count
-                    merged.sum += window.sum
-                    merged.min = min(merged.min, window.min)
-                    merged.max = max(merged.max, window.max)
-                    merged.last = window.last
-                    merged.hist.merge(window.hist)
+        merged = Window(now - seconds, seconds, base=self.base)
+        for window in self._overlapping(seconds, now):
+            if window.count:
+                merged.count += window.count
+                merged.sum += window.sum
+                merged.min = min(merged.min, window.min)
+                merged.max = max(merged.max, window.max)
+                merged.last = window.last
+                merged.hist.merge(window.hist)
         return merged
+
+    def trailing_count_sum(self, seconds: float, now: float) -> tuple[int, float]:
+        """``(count, sum)`` of :meth:`trailing` without building the window.
+
+        Sums the same windows in the same oldest-first order, so both
+        values are bit-identical to ``trailing(seconds, now)``'s.
+        """
+        count = 0
+        total = 0.0
+        for window in self._overlapping(seconds, now):
+            if window.count:
+                count += window.count
+                total += window.sum
+        return count, total
 
     def total_windows(self) -> int:
         return sum(len(level) for level in self._levels) + (

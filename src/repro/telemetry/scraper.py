@@ -24,7 +24,7 @@ from __future__ import annotations
 import typing
 
 from repro.sim.stats import Counter, Gauge, LatencyRecorder, LogHistogram
-from repro.telemetry.metrics import Probe, THistogram, format_metric_id
+from repro.telemetry.metrics import LabelValues, format_metric_id
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.metrics import Telemetry
@@ -52,6 +52,9 @@ class Scraper:
         self._until: float | None = None
         self._last_counter: dict[str, float] = {}
         self._hist_cursor: dict[str, _HistogramCursor] = {}
+        # Metric ids by (name, labels, suffix): formatting an id costs more
+        # than the sample it labels, and a series keeps its id for life.
+        self._metric_ids: dict[tuple[str, LabelValues, str], str] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -76,40 +79,48 @@ class Scraper:
 
     # -- one scrape ----------------------------------------------------------
 
+    def _metric_id(self, name: str, labels: LabelValues, suffix: str = "") -> str:
+        """``format_metric_id(name + suffix, labels)``, formatted once per series."""
+        key = (name, labels, suffix)
+        metric_id = self._metric_ids.get(key)
+        if metric_id is None:
+            metric_id = self._metric_ids[key] = format_metric_id(name + suffix, labels)
+        return metric_id
+
     def scrape(self) -> None:
         now = self.telemetry.sim.now
+        metric_id_of = self._metric_id
         for family in self.telemetry.families.values():
+            kind = family.kind
             for child in family.children():
-                metric_id = format_metric_id(child.name, child.labels)
-                if family.kind == "counter":
+                metric_id = metric_id_of(child.name, child.labels)
+                if kind == "counter":
                     self._sample_counter(metric_id, child.value, now)
-                elif family.kind == "gauge":
+                elif kind == "gauge":
                     self._sample_gauge(metric_id, child.value, now)
                 else:
                     self._sample_histogram(metric_id, child.hist, now)
         for probe in self.telemetry.probes:
-            metric_id = format_metric_id(probe.name, probe.labels)
-            self._sample_gauge(metric_id, probe.value, now)
+            self._sample_gauge(metric_id_of(probe.name, probe.labels), probe.value, now)
         for registry, labels in self.telemetry.watched:
             for key, metric in registry.all().items():
-                metric_id = format_metric_id(key, labels)
                 if isinstance(metric, Counter):
-                    self._sample_counter(metric_id, metric.value, now)
+                    self._sample_counter(metric_id_of(key, labels), metric.value, now)
                 elif isinstance(metric, Gauge):
-                    self._sample_gauge(metric_id, metric.value, now)
+                    self._sample_gauge(metric_id_of(key, labels), metric.value, now)
                 elif isinstance(metric, LatencyRecorder):
                     # Count + total seconds as counters: a trailing
                     # window's seconds-sum over count-sum is the mean
                     # latency in that window (triage leans on this to
                     # compare recent vs baseline service times).
-                    count_id = format_metric_id(f"{key}:count", labels)
+                    count_id = metric_id_of(key, labels, ":count")
                     self._sample_counter(count_id, float(metric.count), now)
-                    seconds_id = format_metric_id(f"{key}:seconds", labels)
+                    seconds_id = metric_id_of(key, labels, ":seconds")
                     self._sample_counter(
                         seconds_id, float(metric.mean * metric.count), now
                     )
                 elif isinstance(metric, LogHistogram):
-                    self._sample_histogram(metric_id, metric, now)
+                    self._sample_histogram(metric_id_of(key, labels), metric, now)
                 # Fixed-bin Histogram / TimeSeries keep their own shape;
                 # they are post-run analysis structures, not scrape targets.
         self.scrapes += 1

@@ -91,7 +91,7 @@ class RatioRule(SloRule):
 
     def _trailing_sum(self, telemetry, metric_id, horizon_s, now):
         series = telemetry.rollups.get(metric_id)
-        return series.trailing(horizon_s, now).sum if series else 0.0
+        return series.trailing_count_sum(horizon_s, now)[1] if series else 0.0
 
     def bad_total(self, telemetry, horizon_s, now):
         bad = self._trailing_sum(telemetry, self.bad_metric, horizon_s, now)
@@ -152,9 +152,9 @@ class AvailabilityRule(SloRule):
     def bad_total(self, telemetry, horizon_s, now):
         bad = total = 0.0
         for series in telemetry.series_matching(self.metric_prefix).values():
-            window = series.trailing(horizon_s, now)
-            bad += window.count - window.sum
-            total += window.count
+            count, up = series.trailing_count_sum(horizon_s, now)
+            bad += count - up
+            total += count
         return bad, total
 
 

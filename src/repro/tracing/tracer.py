@@ -134,7 +134,7 @@ class NullTracer:
     """Tracing disabled: every span request yields the inert singleton."""
 
     enabled: typing.ClassVar[bool] = False
-    spans: list[Span] = []
+    spans: tuple[Span, ...] = ()  # immutable: shared by every instance
 
     def start_trace(self, name: str, phase: str = PHASE_TASK, tags=None):
         return NULL_SPAN

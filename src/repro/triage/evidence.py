@@ -151,34 +151,38 @@ class EvidenceContext:
             seconds if seconds is not None else self.lookback_s, self.now
         )
 
-    def _long(self, metric_id: str) -> "Window":
-        return self.telemetry.rollups[metric_id].trailing(
-            self.lookback_s + self.baseline_s, self.now
-        )
+    def _count_sum(self, metric_id: str, seconds: float) -> tuple[int, float]:
+        """``(count, sum)`` of a trailing window, with no histogram merge."""
+        return self.telemetry.rollups[metric_id].trailing_count_sum(seconds, self.now)
 
     def recent_sum(self, metric_id: str, seconds: float | None = None) -> float:
         """Counter deltas summed over the lookback (= count in window)."""
-        return self.recent(metric_id, seconds).sum
+        return self._count_sum(
+            metric_id, seconds if seconds is not None else self.lookback_s
+        )[1]
 
     def recent_rate(self, metric_id: str) -> float:
-        return self.recent(metric_id).sum / self.lookback_s
+        return self.recent_sum(metric_id) / self.lookback_s
 
     def baseline_rate(self, metric_id: str) -> float:
         """Counter rate over ``baseline_s`` seconds *before* the lookback."""
-        long_sum = self._long(metric_id).sum
-        return max(0.0, long_sum - self.recent(metric_id).sum) / self.baseline_s
+        long_sum = self._count_sum(metric_id, self.lookback_s + self.baseline_s)[1]
+        return max(0.0, long_sum - self.recent_sum(metric_id)) / self.baseline_s
 
     def recent_mean(self, metric_id: str) -> float:
-        return self.recent(metric_id).mean
+        count, total = self._count_sum(metric_id, self.lookback_s)
+        return total / count if count else 0.0
 
     def baseline_mean(self, metric_id: str) -> float:
         """Level mean over the baseline window before the lookback."""
-        recent = self.recent(metric_id)
-        long = self._long(metric_id)
-        count = long.count - recent.count
+        recent_count, recent_sum = self._count_sum(metric_id, self.lookback_s)
+        long_count, long_sum = self._count_sum(
+            metric_id, self.lookback_s + self.baseline_s
+        )
+        count = long_count - recent_count
         if count <= 0:
             return 0.0
-        return (long.sum - recent.sum) / count
+        return (long_sum - recent_sum) / count
 
     def recent_max(self, metric_id: str) -> float:
         window = self.recent(metric_id)

@@ -203,6 +203,41 @@ def test_delete_routes_to_executing_shard():
     assert org.used_vms == 0
 
 
+def test_deletes_reach_the_deploying_shard_and_empty_the_routing_map():
+    """Each delete runs on the director whose hosts hold the vApp, and
+    deploy-then-delete leaves no routing entry behind."""
+    sim, cloud = build(shards=2, max_inflight=1, spill_queue_depth=1)
+    org = Organization("acme")
+    vapps = deploy_all(sim, cloud, [org], count=6, spacing_s=2.0)
+    assert len(cloud._vapp_director) == len(vapps)
+    shard_of = {
+        vapp.name: next(
+            index
+            for index, shard in enumerate(cloud.plane.shards)
+            if vapp.vms[0].host in set(shard.hosts)
+        )
+        for vapp in vapps
+    }
+    assert set(shard_of.values()) == {0, 1}  # some deploys were stolen
+
+    handled_by = {}
+    for index, director in enumerate(cloud.directors):
+        def recording(vapp, index=index, delete=director.delete):
+            handled_by[vapp.name] = index
+            return (yield from delete(vapp))
+
+        director.delete = recording
+
+    def proc(vapp):
+        yield from cloud.delete(vapp)
+
+    for vapp in vapps:
+        sim.run(until=sim.spawn(proc(vapp)))
+    assert handled_by == shard_of
+    assert all(vapp.state == VAppState.DELETED for vapp in vapps)
+    assert cloud._vapp_director == {}
+
+
 def test_unresolved_submissions_empty_after_quiesce():
     sim, cloud = build(shards=2)
     org = Organization("acme")

@@ -98,7 +98,7 @@ class TestNullTelemetry:
     def test_registrations_dropped(self):
         NULL_TELEMETRY.probe("p", lambda: 1.0)
         NULL_TELEMETRY.watch_registry(object())
-        assert NULL_TELEMETRY.probes == []
+        assert NULL_TELEMETRY.probes == ()
         assert NULL_TELEMETRY.rollups == {}
         assert NULL_TELEMETRY.series("p") is None
         assert NULL_TELEMETRY.series_matching("") == {}

@@ -181,3 +181,54 @@ def test_trailing_window_equals_direct_rollup(stream, fraction):
 def test_default_retention_covers_an_hour_at_level_0():
     width, keep = DEFAULT_RETENTION[0]
     assert width * keep >= 3600.0
+
+
+# Sample times that often land exactly on a 60 s window boundary, where the
+# trailing-window edge rules (start < now, end > cutoff) decide membership.
+boundary_times = st.one_of(
+    st.floats(min_value=0.0, max_value=7200.0, allow_nan=False),
+    st.integers(min_value=0, max_value=120).map(lambda k: k * 60.0),
+)
+
+
+def _reference_count_sum(series, seconds, now):
+    """The trailing window's count/sum by a full scan of every level-0 window."""
+    count, total = 0, 0.0
+    cutoff = now - seconds
+    for window in series.windows(level=0, include_open=True):
+        if window.end > cutoff and window.start < now and window.count:
+            count += window.count
+            total += window.sum
+    return count, total
+
+
+@given(
+    st.lists(
+        st.tuples(boundary_times, st.floats(min_value=0.0, max_value=1e6, allow_nan=False)),
+        min_size=1,
+        max_size=150,
+    ).map(sorted),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=4000.0, allow_nan=False),
+        st.sampled_from([60.0, 300.0, 900.0]),
+    ),
+    st.sampled_from([0.0, 1.0, 59.999, 60.0, 600.0]),
+)
+@settings(max_examples=120)
+def test_scalar_trailing_is_bit_identical_to_trailing(stream, seconds, lag):
+    """trailing_count_sum() equals trailing().count/.sum to the last bit.
+
+    The small retention folds level-0 windows up to levels 1 and 2 while
+    the stream is recorded, and the series is queried after every sample.
+    """
+    series = RollupSeries("m", retention=((60.0, 4), (300.0, 3), (1800.0, 2)))
+    for time, value in stream:
+        series.record(time, value)
+        for now in (time, time + lag):
+            count, total = series.trailing_count_sum(seconds, now)
+            window = series.trailing(seconds, now)
+            assert count == window.count
+            assert total.hex() == float(window.sum).hex()
+            ref_count, ref_total = _reference_count_sum(series, seconds, now)
+            assert count == ref_count
+            assert total.hex() == ref_total.hex()

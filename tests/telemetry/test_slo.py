@@ -5,6 +5,7 @@ import pytest
 from repro.sim.kernel import Simulator
 from repro.telemetry.metrics import Telemetry
 from repro.telemetry.slo import (
+    AvailabilityRule,
     BurnWindow,
     LatencyRule,
     RatioRule,
@@ -163,3 +164,34 @@ class TestFireResolve:
         assert "FIRE" in lines[0]
         assert "goodput" in lines[0]
         assert "win 30s/30s x2" in lines[0]
+
+
+def test_availability_rule_sees_a_host_up_series_first_scraped_mid_run():
+    """A probe registered after the rule has run is still part of its prefix."""
+    sim = Simulator()
+    telemetry = Telemetry(sim, scrape_interval_s=5.0)
+    telemetry.probe("host_up", lambda: 1.0, host="h1")
+    telemetry.add_rule(
+        AvailabilityRule(
+            name="fleet",
+            objective=0.99,
+            windows=(BurnWindow(short_s=30.0, long_s=60.0, threshold=2.0),),
+            metric_prefix="host_up",
+        )
+    )
+    telemetry.start()
+    sim.run(until=100.0)
+    assert telemetry.monitor.timeline == []
+    assert list(telemetry.series_matching("host_up")) == ['host_up{host="h1"}']
+
+    telemetry.probe("host_up", lambda: 0.0, host="h2")  # a host that is down
+    sim.run(until=200.0)
+    assert list(telemetry.series_matching("host_up")) == [
+        'host_up{host="h1"}',
+        'host_up{host="h2"}',
+    ]
+    rule = telemetry.monitor.rules[0]
+    bad, total = rule.bad_total(telemetry, 60.0, sim.now)
+    assert bad > 0 and total > bad
+    assert [event.kind for event in telemetry.monitor.timeline] == ["fire"]
+    assert telemetry.monitor.timeline[0].time > 100.0

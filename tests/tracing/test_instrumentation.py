@@ -74,7 +74,7 @@ class TestTracedStorm:
     def test_untraced_rig_records_nothing(self):
         rig = StormRig(seed=0)
         rig.closed_loop_storm(total=4, concurrency=2, linked=True)
-        assert rig.tracer.spans == []
+        assert rig.tracer.spans == ()
         assert all(task.span.is_null for task in rig.server.tasks.succeeded())
 
     def test_deterministic_at_fixed_seed(self):

@@ -95,7 +95,7 @@ class TestNullSpan:
         assert NULL_TRACER.start_trace("x") is NULL_SPAN
         assert NULL_TRACER.start_span("x", parent=NULL_SPAN) is NULL_SPAN
         assert isinstance(NULL_TRACER, NullTracer)
-        assert NULL_TRACER.spans == []
+        assert NULL_TRACER.spans == ()
         assert NULL_TRACER.children(NULL_SPAN) == []
 
 
