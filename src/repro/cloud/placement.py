@@ -52,19 +52,26 @@ class PlacementEngine:
             ]
         if not candidates:
             raise PlacementError(f"cluster {cluster.name!r} has no usable hosts")
-        if memory_gb > 0.0:
+        if self.policy == "least_loaded":
+            # First fit in key order is the min over admitting hosts (keys
+            # are unique), without an admission check on every host.
+            for host in sorted(
+                candidates, key=lambda host: (len(host.vms), host.entity_id)
+            ):
+                if memory_gb <= 0.0 or host.can_admit(memory_gb):
+                    return host
+            candidates = []
+        elif memory_gb > 0.0:
             candidates = [host for host in candidates if host.can_admit(memory_gb)]
-            if not candidates:
-                raise PlacementError(
-                    f"no host in {cluster.name!r} can admit {memory_gb:.0f} GB"
-                )
+        if not candidates:
+            raise PlacementError(
+                f"no host in {cluster.name!r} can admit {memory_gb:.0f} GB"
+            )
         if self.policy == "round_robin":
             host = candidates[self._host_cursor % len(candidates)]
             self._host_cursor += 1
             return host
-        if self.policy == "random":
-            return self.rng.choice(candidates)
-        return min(candidates, key=lambda host: (len(host.vms), host.entity_id))
+        return self.rng.choice(candidates)
 
     def choose_datastore(
         self,
@@ -76,7 +83,11 @@ class PlacementEngine:
         ids) removes known-bad candidates, mirroring ``exclude_hosts`` —
         a datastore that just failed a copy would otherwise stay the
         most-free (it fills slower) and attract every retry."""
-        shared = sorted(cluster.shared_datastores(), key=lambda ds: ds.entity_id)
+        shared = cluster.shared_datastores()
+        if self.policy != "least_loaded":
+            # The cursor and the RNG index into this order; ``max`` over
+            # unique keys below does not need it.
+            shared = sorted(shared, key=lambda ds: ds.entity_id)
         candidates = [ds for ds in shared if ds.free_gb >= required_gb]
         if exclude_datastores:
             filtered = [

@@ -15,7 +15,7 @@ from repro.faults.hooks import FaultHook
 from repro.sim.kernel import Simulator
 from repro.sim.random import bounded, lognormal_from_median
 from repro.sim.resources import Resource
-from repro.sim.stats import MetricsRegistry
+from repro.sim.stats import Counter, LatencyRecorder, MetricsRegistry
 from repro.tracing import NULL_SPAN, PHASE_DB, PHASE_QUEUE
 from repro.controlplane.costs import ControlPlaneCosts
 
@@ -41,6 +41,7 @@ class DatabaseModel:
         self.faults = FaultHook(sim, name="db", rng=rng)
         self._busy_seconds = 0.0
         self._slowdown = 1.0
+        self._handles: dict[str, tuple[Counter, LatencyRecorder]] = {}
 
     def set_slowdown(self, factor: float) -> None:
         """Degrade the database (failure/overload injection). 1.0 = healthy."""
@@ -61,7 +62,7 @@ class DatabaseModel:
         per_row = self.costs.db_write_s
         if self.batching:
             per_row /= self.costs.db_batch_factor
-        return (yield from self._execute(per_row * rows, "writes", rows, span))
+        return self._execute(per_row * rows, "writes", rows, span)
 
     def read(
         self, rows: int = 1, span=NULL_SPAN
@@ -69,7 +70,7 @@ class DatabaseModel:
         """Process-style: read ``rows`` row-groups; returns elapsed seconds."""
         if rows < 1:
             raise ValueError("rows must be >= 1")
-        return (yield from self._execute(self.costs.db_read_s * rows, "reads", rows, span))
+        return self._execute(self.costs.db_read_s * rows, "reads", rows, span)
 
     def _execute(
         self, median: float, kind: str, rows: int, span=NULL_SPAN
@@ -96,8 +97,15 @@ class DatabaseModel:
             raise
         op_span.finish()
         self._busy_seconds += service
-        self.metrics.counter(kind).add(rows)
-        self.metrics.latency(f"{kind}_latency").record(self.sim.now - start)
+        handles = self._handles.get(kind)
+        if handles is None:
+            # Bound on first use, so the registry keeps first-use order.
+            handles = self._handles[kind] = (
+                self.metrics.counter(kind),
+                self.metrics.latency(f"{kind}_latency"),
+            )
+        handles[0].add(rows)
+        handles[1].record(self.sim.now - start)
         return self.sim.now - start
 
     def utilization(self, since: float = 0.0) -> float:

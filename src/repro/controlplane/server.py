@@ -14,6 +14,7 @@ plus the storage data plane (copy scheduler) for byte-moving phases.
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.datacenter.entities import Datastore, Host
@@ -414,20 +415,15 @@ class ManagementServer:
             if self.crashed:
                 raise ServerCrashed(f"{self.name} is down")
             self.faults.fire()
-            holder: dict[str, Task] = {}
-
-            def body(task: Task) -> typing.Generator:
-                holder["task"] = task
-                yield from operation.run(self, task)
-
-            yield from self.tasks.run_task(
-                operation.op_type.value,
-                body,
-                priority=priority,
-                parent_span=span,
-                operation=operation,
+            return (
+                yield from self.tasks.run_task(
+                    operation.op_type.value,
+                    functools.partial(operation.run, self),
+                    priority=priority,
+                    parent_span=span,
+                    operation=operation,
+                )
             )
-            return holder["task"]
 
         process = self.sim.spawn(
             lifecycle(), name=f"{self.name}:{operation.op_type.value}"

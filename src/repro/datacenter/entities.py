@@ -10,6 +10,14 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.datacenter.vm import VirtualMachine
 
 
+class PowerState(enum.Enum):
+    """Power state of a VM (re-exported by :mod:`repro.datacenter.vm`)."""
+
+    ON = "poweredOn"
+    OFF = "poweredOff"
+    SUSPENDED = "suspended"
+
+
 class HostState(enum.Enum):
     """Connection state of a host as seen by the management server."""
 
@@ -95,15 +103,11 @@ class Host(ManagedEntity):
 
     @property
     def powered_on_vms(self) -> int:
-        from repro.datacenter.vm import PowerState
-
         return sum(1 for vm in self.vms if vm.power_state == PowerState.ON)
 
     @property
     def memory_in_use_gb(self) -> float:
         """Guest memory of powered-on VMs (what admission counts)."""
-        from repro.datacenter.vm import PowerState
-
         return sum(
             vm.memory_gb for vm in self.vms if vm.power_state == PowerState.ON
         )
@@ -158,10 +162,7 @@ class Cluster(ManagedEntity):
         usable = self.usable_hosts
         if not usable:
             return set()
-        shared = set(usable[0].datastores)
-        for host in usable[1:]:
-            shared &= host.datastores
-        return shared
+        return set.intersection(*(host.datastores for host in usable))
 
 
 @dataclasses.dataclass(eq=False)

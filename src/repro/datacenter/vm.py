@@ -14,19 +14,12 @@ The disk-backing chain is the heart of the paper's data-plane argument:
 from __future__ import annotations
 
 import dataclasses
-import enum
 import itertools
 import typing
 
-from repro.datacenter.entities import Datastore, Host, ManagedEntity, Network
+from repro.datacenter.entities import Datastore, Host, ManagedEntity, Network, PowerState
 
 _backing_ids = itertools.count(1)
-
-
-class PowerState(enum.Enum):
-    ON = "poweredOn"
-    OFF = "poweredOff"
-    SUSPENDED = "suspended"
 
 
 @dataclasses.dataclass

@@ -122,6 +122,8 @@ class FaultHook:
         ``key`` scopes keyed outages (e.g. a datastore entity id); pass
         ``None`` at unkeyed injection points.
         """
+        if not (self._once or self._blocks or self._drops or self._latency):
+            return 1.0
         if self._once:
             self.injected += 1
             raise self._once.pop(0)

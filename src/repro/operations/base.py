@@ -148,7 +148,7 @@ class Operation:
         body: typing.Generator | typing.Callable[[Span], typing.Generator],
         tag: str = PHASE_TASK,
     ) -> typing.Generator[typing.Any, typing.Any, typing.Any]:
-        return (yield from phase(task, name, plane, lambda: server.sim.now, body, tag=tag))
+        return phase(task, name, plane, lambda: server.sim.now, body, tag=tag)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.op_type.value}>"

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import os
 import typing
-import warnings
 from collections import deque
 from heapq import heapify, heappop, heappush
 
@@ -274,16 +273,6 @@ class Simulator:
         """Scheduled entries, live and dead — bounded by queue hygiene."""
         calendar = self._calendar
         return len(self._heap) if calendar is None else len(calendar)
-
-    @property
-    def heap_size(self) -> int:
-        """Deprecated alias for :attr:`queue_depth` (pre-calendar name)."""
-        warnings.warn(
-            "Simulator.heap_size is deprecated; use Simulator.queue_depth",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.queue_depth
 
     # -- event construction ------------------------------------------------
 

@@ -92,45 +92,58 @@ class Gauge:
 
 
 class LatencyRecorder:
-    """A bag of duration samples with percentile queries."""
+    """A bag of duration samples with percentile queries.
 
-    __slots__ = ("name", "_sorted", "_sum")
+    ``record`` appends; readers sort once, on first use after a record.
+    The sort is stable, so equal values (``-0.0`` and ``0.0`` included)
+    keep their arrival order, as an ``insort_right`` would.
+    """
+
+    __slots__ = ("name", "_samples", "_sorted_upto", "_sum")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._sorted: list[float] = []
+        self._samples: list[float] = []
+        self._sorted_upto = 0
         self._sum = 0.0
 
     def record(self, duration: float) -> None:
         # NaN compares false against everything, so a plain `< 0` check
         # would let it through — and one NaN silently corrupts the sorted
-        # sample invariant every later percentile depends on.
+        # sample order every later percentile depends on.
         if not math.isfinite(duration):
             raise ValueError(f"duration on {self.name!r} must be finite, got {duration!r}")
         if duration < 0:
             raise ValueError(f"negative duration on {self.name!r}: {duration!r}")
-        bisect.insort(self._sorted, duration)
+        self._samples.append(duration)
         self._sum += duration
+
+    def _sorted(self) -> list[float]:
+        if self._sorted_upto != len(self._samples):
+            self._samples.sort()
+            self._sorted_upto = len(self._samples)
+        return self._samples
 
     @property
     def count(self) -> int:
-        return len(self._sorted)
+        return len(self._samples)
 
     @property
     def mean(self) -> float:
-        return self._sum / len(self._sorted) if self._sorted else 0.0
+        return self._sum / len(self._samples) if self._samples else 0.0
 
     def percentile(self, fraction: float) -> float:
         """Linear-interpolated percentile; ``fraction`` in [0, 1]."""
-        if not self._sorted:
+        if not self._samples:
             return 0.0
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction {fraction} outside [0, 1]")
-        position = fraction * (len(self._sorted) - 1)
+        ordered = self._sorted()
+        position = fraction * (len(ordered) - 1)
         lower = math.floor(position)
         upper = math.ceil(position)
-        low_value = self._sorted[lower]
-        high_value = self._sorted[upper]
+        low_value = ordered[lower]
+        high_value = ordered[upper]
         if lower == upper or low_value == high_value:
             return low_value
         weight = position - lower
@@ -139,20 +152,20 @@ class LatencyRecorder:
 
     def cdf(self, points: int = 50) -> list[tuple[float, float]]:
         """(value, cumulative fraction) pairs suitable for plotting."""
-        if not self._sorted:
+        if points < 1:
+            raise ValueError(f"points must be >= 1, got {points!r}")
+        if not self._samples:
             return []
-        n = len(self._sorted)
+        ordered = self._sorted()
+        n = len(ordered)
         step = max(1, n // points)
-        out = [
-            (self._sorted[index], (index + 1) / n)
-            for index in range(0, n, step)
-        ]
+        out = [(ordered[index], (index + 1) / n) for index in range(0, n, step)]
         if out[-1][1] < 1.0:
-            out.append((self._sorted[-1], 1.0))
+            out.append((ordered[-1], 1.0))
         return out
 
     def samples(self) -> list[float]:
-        return list(self._sorted)
+        return list(self._sorted())
 
 
 class Histogram:

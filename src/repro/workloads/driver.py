@@ -14,6 +14,7 @@ guarded against double deletion.
 
 from __future__ import annotations
 
+import operator
 import typing
 
 from repro.cloud.catalog import Catalog, CatalogItem
@@ -226,11 +227,12 @@ class WorkloadDriver:
         vms = [
             vm
             for vm in self.server.inventory.all(VirtualMachine)
-            if not vm.is_template and vm.host is not None
+            if not vm.is_template
+            and vm.host is not None
+            and (predicate is None or predicate(vm))
         ]
-        if predicate is not None:
-            vms = [vm for vm in vms if predicate(vm)]
-        return sorted(vms, key=lambda vm: vm.entity_id)
+        vms.sort(key=operator.attrgetter("entity_id"))
+        return vms
 
     def _pick(self, items: list) -> typing.Any:
         return items[self._rng.randrange(len(items))] if items else None

@@ -129,3 +129,23 @@ def test_metrics_counters_track_rows():
     run_process(sim, database.read(rows=2))
     assert database.metrics.counter("writes").value == 3
     assert database.metrics.counter("reads").value == 2
+
+
+def test_registry_keeps_first_use_order():
+    sim = Simulator()
+    database = make_db(sim)
+    run_process(sim, database.read(rows=1))
+    run_process(sim, database.write(rows=2))
+    run_process(sim, database.read(rows=1))
+    assert list(database.metrics.all()) == [
+        "db.reads", "db.reads_latency", "db.writes", "db.writes_latency",
+    ]
+    assert database.metrics.counter("reads").value == 2
+    assert database.metrics.latency("writes_latency").count == 1
+
+
+def test_write_only_registry_has_no_read_metrics():
+    sim = Simulator()
+    database = make_db(sim)
+    run_process(sim, database.write(rows=1))
+    assert list(database.metrics.all()) == ["db.writes", "db.writes_latency"]

@@ -19,6 +19,21 @@ def test_unarmed_hook_returns_unit_factor(hook):
     assert hook.injected == 0
 
 
+def test_idle_fire_leaves_rng_and_injected_untouched(hook):
+    before = hook.rng.getstate()
+    for key in (None, "ds-1", ALL_KEYS):
+        assert hook.fire(key) == 1.0
+    assert hook.rng.getstate() == before
+    assert hook.injected == 0
+    # A window that came and went leaves the hook idle again.
+    hook.set_drop("window", 0.5)
+    hook.set_latency("window", 3.0)
+    hook.disarm("window")
+    assert hook.fire() == 1.0
+    assert hook.rng.getstate() == before
+    assert hook.injected == 0
+
+
 def test_arm_once_fires_exactly_once(hook):
     hook.arm_once()
     with pytest.raises(InjectedFault):

@@ -171,8 +171,7 @@ def test_queue_depth_and_deprecated_alias():
     sim.timeout(1.0)
     sim.timeout(2.0)
     assert sim.queue_depth == 2
-    with pytest.warns(DeprecationWarning):
-        assert sim.heap_size == 2
+    assert not hasattr(sim, "heap_size")
 
 
 # -- CalendarQueue unit tests ----------------------------------------------

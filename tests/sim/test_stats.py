@@ -1,6 +1,11 @@
 """Unit tests for metrics primitives."""
 
+import bisect
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Counter, Gauge, Histogram, LatencyRecorder, MetricsRegistry, Simulator, TimeSeries
 
@@ -128,6 +133,94 @@ def test_latency_cdf_is_monotone_and_complete():
     assert cdf[-1][1] == 1.0
     values = [value for value, _ in cdf]
     assert values == sorted(values)
+
+
+def test_latency_cdf_rejects_non_positive_points():
+    recorder = LatencyRecorder("lat")
+    for value in range(10):
+        recorder.record(float(value))
+    for points in (0, -1):
+        with pytest.raises(ValueError, match="points"):
+            recorder.cdf(points=points)
+    assert recorder.cdf(points=1)[-1] == (9.0, 1.0)
+
+
+_op = st.one_of(
+    st.tuples(
+        st.just("record"),
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+            st.floats(min_value=0.0, max_value=1e6),
+        ),
+    ),
+    st.tuples(st.just("percentile"), st.floats(min_value=0.0, max_value=1.0)),
+    st.tuples(st.just("cdf"), st.integers(min_value=1, max_value=20)),
+    st.tuples(st.just("samples"), st.none()),
+)
+
+
+def _bits(values):
+    # float.hex tells -0.0 from 0.0, which == does not.
+    return [value.hex() for value in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(_op, max_size=60))
+def test_latency_recorder_matches_insort_reference(ops):
+    recorder = LatencyRecorder("lat")
+    reference = []  # insort on every record
+    for op, arg in ops:
+        if op == "record":
+            recorder.record(arg)
+            bisect.insort(reference, arg)
+        elif op == "samples":
+            assert _bits(recorder.samples()) == _bits(reference)
+        elif op == "cdf":
+            n = len(reference)
+            expected = [
+                (reference[index], (index + 1) / n)
+                for index in range(0, n, max(1, n // arg))
+            ]
+            if expected and expected[-1][1] < 1.0:
+                expected.append((reference[-1], 1.0))
+            got = recorder.cdf(points=arg)
+            assert [(v.hex(), f) for v, f in got] == [(v.hex(), f) for v, f in expected]
+        else:
+            expected = 0.0
+            if reference:
+                position = arg * (len(reference) - 1)
+                lower, upper = math.floor(position), math.ceil(position)
+                low, high = reference[lower], reference[upper]
+                expected = low
+                if lower != upper and low != high:
+                    weight = position - lower
+                    expected = min(high, max(low, low * (1 - weight) + high * weight))
+            assert recorder.percentile(arg).hex() == expected.hex()
+        assert recorder.count == len(reference)
+    assert _bits(recorder.samples()) == _bits(reference)
+
+
+def test_latency_recorder_keeps_signed_zero_ties_in_arrival_order():
+    recorder = LatencyRecorder("lat")
+    recorder.record(0.0)
+    recorder.record(1.0)
+    assert recorder.percentile(0.0) == 0.0
+    recorder.record(-0.0)
+    recorder.record(0.0)
+    recorder.record(-0.0)
+    assert _bits(recorder.samples()) == _bits([0.0, -0.0, 0.0, -0.0, 1.0])
+    assert math.copysign(1.0, recorder.percentile(0.0)) == 1.0
+
+
+def test_latency_recorder_still_rejects_nan_and_negative_after_reads():
+    recorder = LatencyRecorder("lat")
+    recorder.record(1.0)
+    recorder.samples()
+    for bad in (math.nan, -1.0, -math.inf, math.inf):
+        with pytest.raises(ValueError):
+            recorder.record(bad)
+    assert recorder.samples() == [1.0]
+    assert recorder.count == 1
 
 
 def test_histogram_binning():
