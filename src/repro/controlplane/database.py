@@ -13,7 +13,7 @@ import typing
 
 from repro.faults.hooks import FaultHook
 from repro.sim.kernel import Simulator
-from repro.sim.random import bounded, lognormal_from_median
+from repro.sim.random import service_time
 from repro.sim.resources import Resource
 from repro.sim.stats import Counter, LatencyRecorder, MetricsRegistry
 from repro.tracing import NULL_SPAN, PHASE_DB, PHASE_QUEUE
@@ -49,10 +49,6 @@ class DatabaseModel:
             raise ValueError("slowdown factor must be >= 1.0")
         self._slowdown = factor
 
-    def _service_time(self, median: float) -> float:
-        draw = lognormal_from_median(self.rng, median, self.costs.sigma)
-        return bounded(draw, median * 0.25, median * 10.0) * self._slowdown
-
     def write(
         self, rows: int = 1, span=NULL_SPAN
     ) -> typing.Generator[typing.Any, typing.Any, float]:
@@ -76,26 +72,35 @@ class DatabaseModel:
         self, median: float, kind: str, rows: int, span=NULL_SPAN
     ) -> typing.Generator[typing.Any, typing.Any, float]:
         start = self.sim.now
-        op_span = span.child(f"db.{kind}", phase=PHASE_DB, tags={"rows": rows})
+        traced = not span.is_null
+        if traced:
+            span = span.child(f"db.{kind}", phase=PHASE_DB, tags={"rows": rows})
         try:
             # Injected DB faults surface before any connection is consumed:
             # one-shot errors fail the statement, latency windows stretch it.
             factor = self.faults.fire()
             request = self.pool.request()
-            wait_span = op_span.child(
-                "db.pool_wait", phase=PHASE_QUEUE, tags={"wait": True}
-            )
+            if traced:
+                wait_span = span.child(
+                    "db.pool_wait", phase=PHASE_QUEUE, tags={"wait": True}
+                )
             yield request
-            wait_span.finish()
-            service = self._service_time(median) * factor
+            if traced:
+                wait_span.finish()
+            service = (
+                service_time(self.rng, median, self.costs.sigma)
+                * self._slowdown
+                * factor
+            )
             try:
                 yield self.sim.timeout(service)
             finally:
                 self.pool.release(request)
         except BaseException as exc:
-            op_span.finish(error=type(exc).__name__)
+            span.finish(error=type(exc).__name__)
             raise
-        op_span.finish()
+        if traced:
+            span.finish()
         self._busy_seconds += service
         handles = self._handles.get(kind)
         if handles is None:
@@ -104,9 +109,10 @@ class DatabaseModel:
                 self.metrics.counter(kind),
                 self.metrics.latency(f"{kind}_latency"),
             )
+        elapsed = self.sim.now - start
         handles[0].add(rows)
-        handles[1].record(self.sim.now - start)
-        return self.sim.now - start
+        handles[1].record(elapsed)
+        return elapsed
 
     def utilization(self, since: float = 0.0) -> float:
         """Mean fraction of the pool busy over [since, now]."""

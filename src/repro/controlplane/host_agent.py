@@ -21,9 +21,9 @@ from repro.datacenter.entities import Host
 from repro.faults.errors import TransientError
 from repro.faults.hooks import FaultHook
 from repro.sim.kernel import Simulator
-from repro.sim.random import bounded, lognormal_from_median
+from repro.sim.random import service_time
 from repro.sim.resources import Resource
-from repro.sim.stats import MetricsRegistry
+from repro.sim.stats import Counter, LatencyRecorder, MetricsRegistry
 from repro.tracing import NULL_SPAN, PHASE_AGENT, PHASE_QUEUE
 from repro.controlplane.costs import ControlPlaneCosts
 
@@ -62,6 +62,7 @@ class HostAgent:
         )
         self.breaker: "CircuitBreaker | None" = None
         self._busy_seconds = 0.0
+        self._handles: tuple[Counter, LatencyRecorder] | None = None
 
     def inject_failure(self, error: Exception | None = None) -> None:
         """Fail the next call (failure-injection tests and R-T3 rows)."""
@@ -89,21 +90,27 @@ class HostAgent:
         idempotency key from it; the direct channel has no delivery layer,
         so it is unused here.
         """
-        start = self.sim.now
+        if span.is_null:
+            return self._call(kind, median_s, span)
+        return self._traced_call(kind, median_s, span)
+
+    def _traced_call(
+        self, kind: str, median_s: float, span
+    ) -> typing.Generator[typing.Any, typing.Any, float]:
         call_span = span.child(
             f"hostd.{kind}", phase=PHASE_AGENT, tags={"host": self.host.name}
         )
         try:
-            yield from self._call(kind, median_s, call_span)
+            elapsed = yield from self._call(kind, median_s, call_span)
         except BaseException as exc:
             call_span.finish(error=type(exc).__name__)
             raise
         call_span.finish()
-        return self.sim.now - start
+        return elapsed
 
     def _call(
         self, kind: str, median_s: float, span
-    ) -> typing.Generator[typing.Any, typing.Any, None]:
+    ) -> typing.Generator[typing.Any, typing.Any, float]:
         if self.breaker is not None and not self.breaker.allow():
             self.metrics.counter("breaker_rejections").add()
             raise HostAgentError(
@@ -121,19 +128,15 @@ class HostAgent:
             raise
         start = self.sim.now
         request = self.slots.request()
-        wait_span = span.child(
-            "hostd.slot_wait", phase=PHASE_QUEUE, tags={"wait": True}
-        )
-        yield request
-        wait_span.finish()
-        service = (
-            bounded(
-                lognormal_from_median(self.rng, median_s, self.costs.sigma),
-                median_s * 0.25,
-                median_s * 10.0,
+        traced = not span.is_null
+        if traced:
+            wait_span = span.child(
+                "hostd.slot_wait", phase=PHASE_QUEUE, tags={"wait": True}
             )
-            * factor
-        )
+        yield request
+        if traced:
+            wait_span.finish()
+        service = service_time(self.rng, median_s, self.costs.sigma) * factor
         try:
             if service > self.costs.host_call_timeout_s:
                 # The call would exceed the timeout: the server gives up at
@@ -153,8 +156,17 @@ class HostAgent:
             self.slots.release(request)
         self._busy_seconds += service
         self._note_success()
-        self.metrics.counter("calls").add()
-        self.metrics.latency("call_latency").record(self.sim.now - start)
+        handles = self._handles
+        if handles is None:
+            # Bound on first use, so the registry keeps first-use order.
+            handles = self._handles = (
+                self.metrics.counter("calls"),
+                self.metrics.latency("call_latency"),
+            )
+        handles[0].add()
+        elapsed = self.sim.now - start
+        handles[1].record(elapsed)
+        return elapsed
 
     @property
     def queue_depth(self) -> int:

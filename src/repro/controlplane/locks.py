@@ -14,7 +14,7 @@ import collections
 import dataclasses
 import typing
 
-from repro.sim.events import Event
+from repro.sim.events import Event, OwnedEvent
 from repro.sim.kernel import Simulator
 from repro.sim.stats import MetricsRegistry
 
@@ -48,7 +48,7 @@ class RWLock:
     def acquire(self, mode: str) -> Event:
         if mode not in (READ, WRITE):
             raise ValueError(f"unknown lock mode {mode!r}")
-        event = Event(self.sim, name=f"{mode}:{self.name}")
+        event = OwnedEvent(self.sim, mode, self)
         self._queue.append((mode, event))
         self._dispatch()
         return event
@@ -211,7 +211,7 @@ class LockScope:
         self.read_ids = list(read_ids)
 
     def acquire(self) -> typing.Generator[typing.Any, typing.Any, list[RWGrant]]:
-        return (yield from self.manager.acquire(self.write_ids, self.read_ids))
+        return self.manager.acquire(self.write_ids, self.read_ids)
 
     def release(self, grants: list[RWGrant]) -> None:
         self.manager.release(grants)

@@ -14,7 +14,6 @@ plus the storage data plane (copy scheduler) for byte-moving phases.
 
 from __future__ import annotations
 
-import functools
 import typing
 
 from repro.datacenter.entities import Datastore, Host
@@ -22,7 +21,7 @@ from repro.datacenter.inventory import Inventory
 from repro.faults.errors import ServerCrashed, ShardUnavailable
 from repro.faults.hooks import FaultHook
 from repro.sim.kernel import Process, Simulator
-from repro.sim.random import RandomStreams, bounded, lognormal_from_median
+from repro.sim.random import RandomStreams, service_time
 from repro.sim.resources import Resource
 from repro.sim.stats import MetricsRegistry
 from repro.storage.copy_engine import CopyEngine
@@ -136,6 +135,7 @@ class ManagementServer:
         self.recovery = RecoveryManager(self)
         self.tasks.journal = self.journal
         self.tasks.recovery = self.recovery
+        self.tasks.admit = self._admit
         self._crash_tokens: set = set()
         self._inflight: set[Process] = set()
         # Read-only observers of crash onset, called as listener(server, now)
@@ -304,20 +304,21 @@ class ManagementServer:
         """
         start = self.sim.now
         request = self.cpu.request()
-        wait_span = span.child("cpu.wait", phase=PHASE_QUEUE, tags={"wait": True})
+        traced = not span.is_null
+        if traced:
+            wait_span = span.child("cpu.wait", phase=PHASE_QUEUE, tags={"wait": True})
         yield request
-        wait_span.finish()
-        service = bounded(
-            lognormal_from_median(self._cpu_rng, median_s, self.costs.sigma),
-            median_s * 0.25,
-            median_s * 10.0,
-        )
-        work_span = span.child("cpu.work", phase=work_phase)
+        if traced:
+            wait_span.finish()
+        service = service_time(self._cpu_rng, median_s, self.costs.sigma)
+        if traced:
+            work_span = span.child("cpu.work", phase=work_phase)
         try:
             yield self.sim.timeout(service)
         finally:
             self.cpu.release(request)
-            work_span.finish()
+            if traced:
+                work_span.finish()
         self._cpu_busy += service
         return self.sim.now - start
 
@@ -403,30 +404,35 @@ class ManagementServer:
         )
         return reply
 
+    def _admit(self) -> None:
+        """The task manager's admission gate, run on a lifecycle's first step.
+
+        A crashed server or shard rejects the submission outright — no task
+        row, no dispatch slot, just a failed process. ServerCrashed is
+        transient: the caller may resubmit after the restart.
+        """
+        if self.crashed:
+            raise ServerCrashed(f"{self.name} is down")
+        self.faults.fire()
+
+    def _run_operation(self, task: Task) -> typing.Generator:
+        """A task body: the submitted operation's ``run`` against this server."""
+        return task.operation.run(self, task)
+
     def _spawn_lifecycle(
         self, operation: "Operation", priority: float, span
     ) -> Process:
         """Spawn the task lifecycle process and track it for crash windows."""
-
-        def lifecycle() -> typing.Generator[typing.Any, typing.Any, Task]:
-            # A crashed server or shard rejects the submission outright — no
-            # task row, no dispatch slot, just a failed process. ServerCrashed
-            # is transient: the caller may resubmit after the restart.
-            if self.crashed:
-                raise ServerCrashed(f"{self.name} is down")
-            self.faults.fire()
-            return (
-                yield from self.tasks.run_task(
-                    operation.op_type.value,
-                    functools.partial(operation.run, self),
-                    priority=priority,
-                    parent_span=span,
-                    operation=operation,
-                )
-            )
-
+        op_type = operation.op_type.value
         process = self.sim.spawn(
-            lifecycle(), name=f"{self.name}:{operation.op_type.value}"
+            self.tasks.run_task(
+                op_type,
+                self._run_operation,
+                priority=priority,
+                parent_span=span,
+                operation=operation,
+            ),
+            name=f"{self.name}:{op_type}",
         )
         # Track the lifecycle so a ServerCrash window can interrupt it;
         # drop the reference as soon as the process finishes.

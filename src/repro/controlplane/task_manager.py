@@ -144,6 +144,12 @@ class TaskManager:
         # crash-interrupted task processes until the journal replays.
         self.journal = NULL_JOURNAL
         self.recovery = None
+        # Admission gate (ManagementServer's): runs on a lifecycle's first
+        # step, before the task row; raising rejects the submission.
+        self.admit: typing.Callable[[], None] | None = None
+        # Per-op-type (completed, latency, latency.all) handles, bound on
+        # first use so the registry keeps first-use order.
+        self._done_handles: dict[str, tuple] = {}
         # Optional event sink (see controlplane.eventlog); completion posts
         # one event per task, errors at elevated severity.
         self.event_log = None
@@ -178,6 +184,8 @@ class TaskManager:
         at the span operation phases should attach to; after the task
         finishes it is the (finished) root span.
         """
+        if self.admit is not None:
+            self.admit()
         self._next_id += 1
         task = Task(
             task_id=self._next_id,
@@ -189,158 +197,159 @@ class TaskManager:
         if self.task_deadline_s is not None:
             task.deadline = task.submitted_at + self.task_deadline_s
         self.tasks.append(task)
-        root_span = self.tracer.start_span(
-            f"task.{op_type}",
-            phase=PHASE_TASK,
-            parent=None if parent_span.is_null else parent_span,
-            tags={"task_id": task.task_id, "op_type": op_type},
-        )
-        task.span = root_span
+        root_span = NULL_SPAN
+        traced = self.tracer.enabled
+        if traced:
+            root_span = task.span = self.tracer.start_span(
+                f"task.{op_type}",
+                phase=PHASE_TASK,
+                parent=None if parent_span.is_null else parent_span,
+                tags={"task_id": task.task_id, "op_type": op_type},
+            )
         try:
-            yield from self._run_task_traced(task, op_type, body, priority)
-        finally:
-            task.span = root_span
-            error_name = None
-            if task.state is TaskState.ERROR and task.error:
-                error_name = task.error.split(":", 1)[0]
-            root_span.annotate("attempts", task.attempts)
-            root_span.finish(error=error_name)
-        return task
-
-    def _run_task_traced(
-        self,
-        task: Task,
-        op_type: str,
-        body: typing.Callable[[Task], typing.Generator],
-        priority: float,
-    ) -> typing.Generator[typing.Any, typing.Any, Task]:
-        root_span = task.span
-        # Task-row insert happens before dispatch: even rejected/queued work
-        # costs the database. If the database itself is faulted the task
-        # never existed as far as dispatch is concerned — fail it terminally
-        # rather than stranding it QUEUED.
-        try:
-            yield from self.database.write(rows=1, span=root_span)
-        except Exception as error:
-            # A crash interrupt during the insert means the task was never
-            # admitted: surface ServerCrashed (transient) so the caller may
-            # resubmit — nothing was journaled, so nothing can duplicate.
-            cause = crash_cause(error)
-            if cause is not None:
-                error = cause
-            self._fail_terminally(task, error)
-            self.metrics.counter("insert_failures").add()
-            raise error
-        self.journal.record_admit(task)
-        if self.retry_budget is not None:
-            self.retry_budget.deposit()
-        self._depth.add(1)
-        # Per-category cap first (if configured), then the global limit —
-        # matching the real dispatch order (a capped clone can't consume a
-        # datacenter-wide slot while waiting on its category). Queue waits
-        # are bounded by the task deadline: a request still queued at the
-        # deadline is withdrawn and the task dead-lettered.
-        granted: list[tuple[PriorityResource, typing.Any]] = []
-        wait_span = root_span.child(
-            "task.dispatch_wait", phase=PHASE_QUEUE, tags={"wait": True}
-        )
-        while True:
+            # Task-row insert happens before dispatch: even rejected/queued
+            # work costs the database. If the database itself is faulted the
+            # task never existed as far as dispatch is concerned — fail it
+            # terminally rather than stranding it QUEUED.
             try:
-                type_pool = self._type_limits.get(op_type)
-                if type_pool is not None:
-                    yield from self._acquire(type_pool, priority, task, granted)
-                yield from self._acquire(self.dispatch, priority, task, granted)
-                break
-            except TaskDeadlineExceeded as error:
-                wait_span.finish(error=type(error).__name__)
-                self._depth.add(-1)
-                for pool, request in granted:
-                    pool.release(request)
-                self.metrics.counter("deadline_exceeded").add()
-                self._fail_terminally(task, error)
-                yield from self._finalize(task)
-                raise
+                yield from self.database.write(rows=1, span=root_span)
             except Exception as error:
-                # A crash interrupt while queued: the kernel has already
-                # withdrawn the in-flight request; give back any slot we
-                # did win, park until the journal replays, then requeue.
-                if crash_cause(error) is None:
-                    raise
-                for pool, request in granted:
-                    pool.release(request)
-                granted.clear()
-                yield from self._park(task, "dispatch")
-        wait_span.finish()
-        self._depth.add(-1)
-        task.state = TaskState.RUNNING
-        task.started_at = self.sim.now
-        try:
-            while True:
-                task.attempts += 1
-                self.journal.record_dispatch(task, task.attempts)
-                attempt_span = root_span.child(
-                    f"attempt-{task.attempts}", phase=PHASE_TASK
+                # A crash interrupt during the insert means the task was
+                # never admitted: surface ServerCrashed (transient) so the
+                # caller may resubmit — nothing was journaled, so nothing
+                # can duplicate.
+                cause = crash_cause(error)
+                if cause is not None:
+                    error = cause
+                self._fail_terminally(task, error)
+                self.metrics.counter("insert_failures").add()
+                raise error
+            self.journal.record_admit(task)
+            if self.retry_budget is not None:
+                self.retry_budget.deposit()
+            self._depth.add(1)
+            # Per-category cap first (if configured), then the global limit —
+            # matching the real dispatch order (a capped clone can't consume a
+            # datacenter-wide slot while waiting on its category). Queue waits
+            # are bounded by the task deadline: a request still queued at the
+            # deadline is withdrawn and the task dead-lettered.
+            granted: list[tuple[PriorityResource, typing.Any]] = []
+            if traced:
+                wait_span = root_span.child(
+                    "task.dispatch_wait", phase=PHASE_QUEUE, tags={"wait": True}
                 )
-                task.span = attempt_span
+            while True:
                 try:
+                    type_pool = self._type_limits.get(op_type)
+                    if type_pool is not None:
+                        yield from self._acquire(type_pool, priority, task, granted)
+                    yield from self._acquire(self.dispatch, priority, task, granted)
+                    break
+                except TaskDeadlineExceeded as error:
+                    if traced:
+                        wait_span.finish(error=type(error).__name__)
+                    self._depth.add(-1)
+                    for pool, request in granted:
+                        pool.release(request)
+                    self.metrics.counter("deadline_exceeded").add()
+                    self._fail_terminally(task, error)
+                    yield from self._finalize(task)
+                    raise
+                except Exception as error:
+                    # A crash interrupt while queued: the kernel has already
+                    # withdrawn the in-flight request; give back any slot we
+                    # did win, park until the journal replays, then requeue.
+                    if crash_cause(error) is None:
+                        raise
+                    for pool, request in granted:
+                        pool.release(request)
+                    granted.clear()
+                    yield from self._park(task, "dispatch")
+            if traced:
+                wait_span.finish()
+            self._depth.add(-1)
+            task.state = TaskState.RUNNING
+            task.started_at = self.sim.now
+            try:
+                while True:
+                    task.attempts += 1
+                    self.journal.record_dispatch(task, task.attempts)
+                    attempt_span = root_span
+                    if traced:
+                        attempt_span = root_span.child(
+                            f"attempt-{task.attempts}", phase=PHASE_TASK
+                        )
+                        task.span = attempt_span
                     try:
-                        yield from body(task)
-                    except Exception as error:
-                        attempt_span.finish(error=type(error).__name__)
-                        cause = crash_cause(error)
-                        if cause is not None:
-                            # The server crashed mid-attempt. Park until the
-                            # journal replays; the verdict says whether the
-                            # half-done work survived. A re-issue does not
-                            # consume retry budget — the crash was the
-                            # server's fault, not the attempt's.
-                            verdict = yield from self._park(task, "attempt")
-                            if self._settle(task, verdict, cause):
-                                break
-                            self.metrics.counter("crash_reissues").add()
-                            continue
-                        delay = self._retry_delay(task, error)
-                        if delay is None:
-                            task.state = TaskState.ERROR
-                            task.error = f"{type(error).__name__}: {error}"
-                            self._record_dead_letter(task, error)
-                            raise
-                        self.metrics.counter("retries").add()
-                        self.metrics.counter(f"retries.{op_type}").add()
-                        self._t_retries.add()
-                        if delay > 0:
-                            backoff_span = root_span.child(
-                                "task.backoff",
-                                phase=PHASE_RETRY,
-                                tags={"wait": True},
-                            )
-                            try:
-                                yield self.sim.timeout(delay)
-                            except Exception as backoff_error:
-                                cause = crash_cause(backoff_error)
-                                if cause is None:
-                                    backoff_span.finish(
-                                        error=type(backoff_error).__name__
-                                    )
-                                    raise
-                                backoff_span.finish(error=type(cause).__name__)
-                                verdict = yield from self._park(task, "backoff")
+                        try:
+                            yield from body(task)
+                        except Exception as error:
+                            attempt_span.finish(error=type(error).__name__)
+                            cause = crash_cause(error)
+                            if cause is not None:
+                                # The server crashed mid-attempt. Park until
+                                # the journal replays; the verdict says
+                                # whether the half-done work survived. A
+                                # re-issue does not consume retry budget —
+                                # the crash was the server's fault, not the
+                                # attempt's.
+                                verdict = yield from self._park(task, "attempt")
                                 if self._settle(task, verdict, cause):
                                     break
                                 self.metrics.counter("crash_reissues").add()
                                 continue
-                            backoff_span.finish()
-                    else:
-                        attempt_span.finish()
-                        task.state = TaskState.SUCCESS
-                        break
-                finally:
-                    task.span = root_span
+                            delay = self._retry_delay(task, error)
+                            if delay is None:
+                                task.state = TaskState.ERROR
+                                task.error = f"{type(error).__name__}: {error}"
+                                self._record_dead_letter(task, error)
+                                raise
+                            self.metrics.counter("retries").add()
+                            self.metrics.counter(f"retries.{op_type}").add()
+                            self._t_retries.add()
+                            if delay > 0:
+                                backoff_span = root_span.child(
+                                    "task.backoff",
+                                    phase=PHASE_RETRY,
+                                    tags={"wait": True},
+                                )
+                                try:
+                                    yield self.sim.timeout(delay)
+                                except Exception as backoff_error:
+                                    cause = crash_cause(backoff_error)
+                                    if cause is None:
+                                        backoff_span.finish(
+                                            error=type(backoff_error).__name__
+                                        )
+                                        raise
+                                    backoff_span.finish(error=type(cause).__name__)
+                                    verdict = yield from self._park(task, "backoff")
+                                    if self._settle(task, verdict, cause):
+                                        break
+                                    self.metrics.counter("crash_reissues").add()
+                                    continue
+                                backoff_span.finish()
+                        else:
+                            if traced:
+                                attempt_span.finish()
+                            task.state = TaskState.SUCCESS
+                            break
+                    finally:
+                        task.span = root_span
+            finally:
+                self.dispatch.release(granted[-1][1])
+                for pool, request in granted[:-1]:
+                    pool.release(request)
+                yield from self._finalize(task)
         finally:
-            self.dispatch.release(granted[-1][1])
-            for pool, request in granted[:-1]:
-                pool.release(request)
-            yield from self._finalize(task)
+            task.span = root_span
+            if traced:
+                error_name = None
+                if task.state is TaskState.ERROR and task.error:
+                    error_name = task.error.split(":", 1)[0]
+                root_span.annotate("attempts", task.attempts)
+                root_span.finish(error=error_name)
+        return task
 
     # -- lifecycle helpers ---------------------------------------------------
 
@@ -501,13 +510,21 @@ class TaskManager:
             yield from self.database.write(rows=1, span=task.span)
         except Exception:
             self.metrics.counter("completion_write_failures").add()
-        self.metrics.counter(f"completed.{task.op_type}").add()
-        self.metrics.latency(f"latency.{task.op_type}").record(task.latency)
-        self.metrics.latency("latency.all").record(task.latency)
+        handles = self._done_handles.get(task.op_type)
+        if handles is None:
+            handles = self._done_handles[task.op_type] = (
+                self.metrics.counter(f"completed.{task.op_type}"),
+                self.metrics.latency(f"latency.{task.op_type}"),
+                self.metrics.latency("latency.all"),
+            )
+        latency = task.latency
+        handles[0].add()
+        handles[1].record(latency)
+        handles[2].record(latency)
         outcome = self._t_success if task.state is TaskState.SUCCESS else self._t_error
         outcome.add()
         self._t_latency.observe(
-            task.latency,
+            latency,
             trace_id=None if task.span.is_null else task.span.context.trace_id,
         )
         if self.event_log is not None:

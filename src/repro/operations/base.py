@@ -82,7 +82,10 @@ def phase(
     """
     if plane not in (CONTROL, DATA):
         raise ValueError(f"unknown plane {plane!r}")
-    span = task.span.child(name, phase=tag, tags={"plane": plane})
+    span = task.span
+    traced = not span.is_null
+    if traced:
+        span = span.child(name, phase=tag, tags={"plane": plane})
     if callable(body):
         body = body(span)
     start = sim_now()
@@ -91,7 +94,8 @@ def phase(
     except BaseException as exc:
         span.finish(error=type(exc).__name__)
         raise
-    span.finish()
+    if traced:
+        span.finish()
     task.phases.append((name, plane, sim_now() - start))
     return result
 

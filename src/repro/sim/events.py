@@ -116,6 +116,8 @@ class Event:
         """Mark the event successful and schedule its callbacks."""
         if self._state != PENDING:
             raise RuntimeError(f"{self!r} already {self._state}")
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
         self._state = TRIGGERED
         self._value = value
         self.sim._enqueue(self, delay)
@@ -127,6 +129,8 @@ class Event:
             raise RuntimeError(f"{self!r} already {self._state}")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
         self._state = TRIGGERED
         self._exception = exception
         self.sim._enqueue(self, delay)
@@ -162,6 +166,23 @@ class Event:
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"<{type(self).__name__}{label} {self._state}>"
+
+
+class OwnedEvent(Event):
+    """A plain event named ``<verb>:<owner.name>`` (lock acquires, store gets)."""
+
+    __slots__ = ("_verb", "_owner")
+
+    def __init__(self, sim: "Simulator", verb: str, owner: typing.Any) -> None:
+        Event.__init__(self, sim)
+        self._verb = verb
+        self._owner = owner
+
+    def _default_name(self) -> str:
+        return f"{self._verb}:{self._owner.name}"
+
+    def __repr__(self) -> str:  # reads as the plain Event it stands in for
+        return f"<Event {self.name!r} {self._state}>"
 
 
 class Timeout(Event):

@@ -82,6 +82,18 @@ class Interrupt(Exception):
         self.cause = cause
 
 
+class _Outcome:
+    """A decided outcome on no queue: how bootstrap and interrupts resume."""
+
+    __slots__ = ("_state", "_value", "_exception")
+
+    def __init__(self, exception: BaseException | None = None) -> None:
+        self._state, self._value, self._exception = PROCESSED, None, exception
+
+
+_START = _Outcome()
+
+
 class Process(Event):
     """A running activity; also an event that fires when the activity ends.
 
@@ -89,7 +101,9 @@ class Process(Event):
     exception inside the generator fails the process event with it.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    # send/throw and the resume callback are bound once, not per yield; the
+    # callback (a self-reference) is dropped when the process finishes.
+    __slots__ = ("_generator", "_waiting_on", "_send", "_throw", "_callback")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator, name: str = "") -> None:
         if not hasattr(generator, "throw"):
@@ -102,12 +116,15 @@ class Process(Event):
         self._exception = None
         self._generator = generator
         self._waiting_on: Event | None = None
+        self._send = generator.send
+        self._throw = generator.throw
+        self._callback = self._resume
         # Kick off at the current time, urgently, so spawn order is preserved.
         if sim._fast_resume:
             sim._defer(self._bootstrap)
         else:
             bootstrap = Event(sim, name=f"start:{self.name}")
-            bootstrap.callbacks.append(self._resume)
+            bootstrap.callbacks.append(self._callback)
             bootstrap.succeed()
 
     def _default_name(self) -> str:
@@ -137,11 +154,11 @@ class Process(Event):
     # -- internals --------------------------------------------------------
 
     def _bootstrap(self) -> None:
-        self._step(self._generator.send, None)
+        self._resume(_START)
 
     def _detach(self) -> None:
-        if self._waiting_on is not None and self._resume in self._waiting_on.callbacks:
-            self._waiting_on.callbacks.remove(self._resume)
+        if self._waiting_on is not None and self._callback in self._waiting_on.callbacks:
+            self._waiting_on.callbacks.remove(self._callback)
         self._waiting_on = None
 
     def _throw_in(self, exc: BaseException) -> None:
@@ -159,16 +176,48 @@ class Process(Event):
                 resource = getattr(waited, "resource", None)
                 if resource is not None:
                     resource.release(waited)
-        self._step(self._generator.throw, exc)
+        self._resume(_Outcome(exc))
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Event | _Outcome) -> None:
+        """Feed ``event``'s outcome into the generator; wait on what it yields."""
         self._waiting_on = None
-        if event._state == CANCELLED:
-            self._step(self._generator.throw, EventCancelled(event.name))
-        elif event._exception is None:
-            self._step(self._generator.send, event._value)
+        sim = self.sim
+        try:
+            if event._state == CANCELLED:
+                target = self._throw(EventCancelled(event.name))
+            elif event._exception is None:
+                target = self._send(event._value)
+            else:
+                target = self._throw(event._exception)
+            # A bad target fails the process; the generator stays suspended.
+            if not isinstance(target, Event):
+                raise TypeError(
+                    f"process {self.name!r} yielded {target!r}; processes must yield Events"
+                )
+            if target.sim is not sim:
+                raise RuntimeError("yielded event belongs to a different simulator")
+        except StopIteration as stop:
+            self._callback = None
+            self.succeed(value=stop.value)
+            return
+        except BaseException as exc:  # noqa: BLE001 - process bodies may raise anything
+            self._callback = None
+            self.fail(exc)
+            return
+        self._waiting_on = target
+        if target._state == PROCESSED:
+            # Already fully fired: resume on the next tick of the loop.
+            if sim._fast_resume:
+                sim._defer(lambda: self._deferred_resume(target))
+            else:
+                relay = Event(sim, name=f"relay:{self.name}")
+                relay.callbacks.append(lambda _event: self._deferred_resume(target))
+                if target._exception is None:
+                    relay.succeed(value=target._value)
+                else:
+                    relay.fail(target._exception)
         else:
-            self._step(self._generator.throw, event._exception)
+            target.callbacks.append(self._callback)
 
     def _deferred_resume(self, target: Event) -> None:
         # Guards the same-tick resume of an already-processed yield: an
@@ -176,40 +225,6 @@ class Process(Event):
         # retargets or finishes the process, making this entry stale.
         if self._waiting_on is target:
             self._resume(target)
-
-    def _step(self, advance: typing.Callable[[typing.Any], Event], arg: typing.Any) -> None:
-        try:
-            target = advance(arg)
-        except StopIteration as stop:
-            self.succeed(value=stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - process bodies may raise anything
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            self.fail(
-                TypeError(
-                    f"process {self.name!r} yielded {target!r}; processes must yield Events"
-                )
-            )
-            return
-        if target.sim is not self.sim:
-            self.fail(RuntimeError("yielded event belongs to a different simulator"))
-            return
-        self._waiting_on = target
-        if target._state == PROCESSED:
-            # Already fully fired: resume on the next tick of the loop.
-            if self.sim._fast_resume:
-                self.sim._defer(lambda: self._deferred_resume(target))
-            else:
-                relay = Event(self.sim, name=f"relay:{self.name}")
-                relay.callbacks.append(lambda _event: self._deferred_resume(target))
-                if target._exception is None:
-                    relay.succeed(value=target._value)
-                else:
-                    relay.fail(target._exception)
-        else:
-            target.callbacks.append(self._resume)
 
 
 class Simulator:
@@ -319,8 +334,7 @@ class Simulator:
     # -- scheduling ---------------------------------------------------------
 
     def _enqueue(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        # Callers validate ``delay`` before they change the event's state.
         self._sequence += 1
         calendar = self._calendar
         if calendar is None:

@@ -60,6 +60,13 @@ def bounded(value: float, low: float, high: float) -> float:
     return max(low, min(high, value))
 
 
+def service_time(rng: random.Random, median: float, sigma: float) -> float:
+    """Service draw of the CPU, DB and host-agent models, in one call:
+    ``bounded(lognormal_from_median(...), median * 0.25, median * 10)``."""
+    value = 0.0 if median <= 0 else median * math.exp(rng.gauss(0.0, sigma))
+    return max(median * 0.25, min(median * 10.0, value))
+
+
 def pareto(rng: random.Random, shape: float, scale: float) -> float:
     """Pareto variate (heavy tail for VM lifetimes)."""
     if shape <= 0 or scale <= 0:

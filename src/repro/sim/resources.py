@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import typing
 
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event, OwnedEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -27,10 +27,16 @@ class Request(Event):
     __slots__ = ("resource", "priority", "enqueued_at", "granted_at")
 
     def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
-        super().__init__(resource.sim)
+        # Inlined Event.__init__, as in Timeout: one request per resource use.
+        self.sim = sim = resource.sim
+        self._name = None
+        self.callbacks = []
+        self._state = PENDING
+        self._value = None
+        self._exception = None
         self.resource = resource
         self.priority = priority
-        self.enqueued_at = resource.sim.now
+        self.enqueued_at = sim._now
         self.granted_at: float | None = None
 
     def _default_name(self) -> str:
@@ -90,15 +96,23 @@ class Resource:
 
     def request(self, priority: float = 0.0) -> Request:
         request = Request(self, priority=priority)
-        self._queue.append(request)
-        self._dispatch()
+        if len(self._users) < self.capacity:
+            # Every change dispatches, so a free slot means nobody is queued:
+            # grant at once, with _dispatch's bookkeeping in its order.
+            self._users.add(request)
+            request.granted_at = request.enqueued_at
+            self._waits.append(0.0)
+            request.succeed(value=request)
+        else:
+            self._queue.append(request)
         return request
 
     def release(self, request: Request) -> None:
         if request not in self._users:
             raise RuntimeError(f"release of non-held request on {self.name!r}")
         self._users.discard(request)
-        self._dispatch()
+        if self._queue:
+            self._dispatch()
 
     def resize(self, capacity: int) -> None:
         """Change capacity at runtime (used by reconfiguration ablations)."""
@@ -116,7 +130,7 @@ class Resource:
         while self._queue and len(self._users) < self.capacity:
             request = self._queue.pop(self._next_index())
             self._users.add(request)
-            request.granted_at = self.sim.now
+            request.granted_at = self.sim._now
             self._waits.append(request.granted_at - request.enqueued_at)
             request.succeed(value=request)
 
@@ -166,7 +180,7 @@ class Store:
         self._drain()
 
     def get(self) -> Event:
-        event = Event(self.sim, name=f"get:{self.name}")
+        event = OwnedEvent(self.sim, "get", self)
         self._getters.append(event)
         self._drain()
         return event

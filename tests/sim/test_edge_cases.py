@@ -147,3 +147,45 @@ def test_interrupt_cause_defaults_to_none():
     sim.spawn(attacker())
     sim.run()
     assert caught == [None]
+
+
+@pytest.mark.parametrize("method", ["succeed", "fail"])
+def test_negative_delay_leaves_the_event_pending(method):
+    """A rejected delay must not mark the event triggered: a corrected
+    retry schedules it and wakes its waiters."""
+    sim = Simulator()
+    event = sim.event("gate")
+    outcome = "value" if method == "succeed" else KeyError("boom")
+    seen = []
+
+    def waiter():
+        try:
+            value = yield event
+        except KeyError as error:
+            value = error
+        seen.append((sim.now, value))
+
+    sim.spawn(waiter(), name="waiter")
+    with pytest.raises(ValueError, match="negative delay"):
+        getattr(event, method)(outcome, delay=-1.0)
+    assert not event.triggered
+    assert event.exception is None and event.value is None
+    getattr(event, method)(outcome, delay=2.0)
+    sim.run()
+    assert seen == [(2.0, outcome)]
+
+
+def test_lock_and_store_events_keep_their_names():
+    from repro.controlplane.locks import RWLock
+
+    sim = Simulator()
+    lock = RWLock(sim, name="vm-7")
+    store = Store(sim, name="jobs")
+    held = lock.acquire("write")
+    queued = lock.acquire("read")
+    getter = store.get()
+    assert repr(held) == "<Event 'write:vm-7' triggered>"
+    assert repr(queued) == "<Event 'read:vm-7' pending>"
+    assert repr(getter) == "<Event 'get:jobs' pending>"
+    assert (held.name, queued.name, getter.name) == ("write:vm-7", "read:vm-7", "get:jobs")
+    assert str(EventCancelled(queued.name)) == "read:vm-7"

@@ -1,9 +1,19 @@
 """Unit tests for named random streams."""
 
-from repro.sim import RandomStreams
-from repro.sim.random import bounded, exponential, lognormal_from_median, pareto
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.sim import RandomStreams
+from repro.sim.random import (
+    bounded,
+    exponential,
+    lognormal_from_median,
+    pareto,
+    service_time,
+)
 
 
 def test_same_seed_same_stream():
@@ -79,3 +89,26 @@ def test_pareto_validates_parameters():
         pareto(rng, shape=0.0, scale=1.0)
     with pytest.raises(ValueError):
         pareto(rng, shape=1.0, scale=0.0)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    median=st.one_of(
+        st.just(0.0),
+        st.just(float("nan")),
+        st.floats(min_value=-1e3, max_value=-1e-9),
+        st.floats(min_value=1e-9, max_value=1e3),
+    ),
+    sigma=st.floats(min_value=0.0, max_value=4.0),
+)
+def test_service_time_is_the_bounded_lognormal_bit_for_bit(seed, median, sigma):
+    reference, fused = random.Random(seed), random.Random(seed)
+    # Several draws in a row also cover gauss()'s cached second variate.
+    for _ in range(3):
+        expected = bounded(
+            lognormal_from_median(reference, median, sigma),
+            median * 0.25,
+            median * 10.0,
+        )
+        assert service_time(fused, median, sigma).hex() == expected.hex()
+    assert fused.getstate() == reference.getstate()

@@ -189,3 +189,32 @@ class TestDirectorSpans:
             for task_span in task_spans:
                 assert task_span.context.trace_id == request_span.context.trace_id
         assert rig.tracer.open_spans() == []
+
+
+def test_untraced_linked_storm_makes_no_null_span_calls(monkeypatch):
+    """Tracing off costs nothing: instrumentation guards on ``is_null`` /
+    ``tracer.enabled`` instead of calling the inert span's methods."""
+    from repro.tracing import NULL_SPAN, NULL_TRACER
+
+    calls: dict[str, int] = {}
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(self, *args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("child", "finish", "annotate"):
+        spy(type(NULL_SPAN), name)
+    for name in ("start_span", "start_trace"):
+        spy(type(NULL_TRACER), name)
+    rig = StormRig(seed=0, hosts=4, datastores=2)
+    stats = rig.closed_loop_storm(total=24, concurrency=8, linked=True)
+    assert stats["completed"] == 24
+    assert calls == {}
+    # The spies do count: one traced-off call is seen.
+    NULL_SPAN.child("probe").finish()
+    assert calls == {"child": 1, "finish": 1}
